@@ -68,15 +68,19 @@ test-checks:
 	$(GO) test -tags=fusecuchecks ./...
 
 ## fuzz-smoke runs each native fuzz target briefly: the request-decode
-## strictness invariants, the tiling-constructor contracts, and the
-## analytic optimizer's exactness against the full-space reference. Failing
-## inputs are minimized into testdata/fuzz corpora for regression.
+## strictness invariants, the tiling-constructor contracts, the analytic
+## optimizer's exactness against the full-space reference and, at large
+## extents, against core.Optimize, and core's plateau walk against its linear
+## sweep oracle. Failing inputs are minimized into testdata/fuzz corpora for
+## regression.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeOptimizeRequest$$' -fuzztime=20s -run='^$$' ./internal/service
 	$(GO) test -fuzz='^FuzzDecodeSearchRequest$$' -fuzztime=20s -run='^$$' ./internal/service
 	$(GO) test -fuzz='^FuzzNewTiling$$' -fuzztime=20s -run='^$$' ./internal/dataflow
 	$(GO) test -fuzz='^FuzzAffinityKey$$' -fuzztime=20s -run='^$$' ./internal/route
 	$(GO) test -fuzz='^FuzzAnalyticOptimum$$' -fuzztime=20s -run='^$$' ./internal/search
+	$(GO) test -fuzz='^FuzzAnalyticMatchesCore$$' -fuzztime=20s -run='^$$' ./internal/search
+	$(GO) test -fuzz='^FuzzFrontierWalk$$' -fuzztime=20s -run='^$$' ./internal/core
 
 ## tablegen-smoke pregenerates every candidate-table artifact the serving
 ## path consumes — the Table II + Fig. 11 shapes on the coarse lattice and
@@ -106,30 +110,39 @@ bench-serve:
 	$(GO) run ./cmd/fusecu-tablegen -out $(TABLE_DIR) -set bench
 	$(GO) run ./cmd/fusecu-bench -serve-load -serve-out BENCH_serve.json -replicas 3 -table-dir $(TABLE_DIR)
 
-## bench-compare reruns the search-layer microbenchmarks and diffs the
-## medians against the committed baseline with the stdlib-only
+## bench-compare reruns the search-layer microbenchmarks and the core
+## optimizer benchmarks (BenchmarkOptimize, BenchmarkPlanChain) and diffs
+## the medians against the committed baselines with the stdlib-only
 ## fusecu-benchstat (CI has no network for x/perf's benchstat). The target
 ## is blocking: it fails when any benchmark's median runs more than
 ## BENCH_GATE× the baseline, or when a baseline benchmark vanished. The
 ## tolerance absorbs shared-runner noise (per-benchmark spikes up to ~1.7×
 ## observed on loaded single-core runners) while still catching the class
 ## of regression this gate exists for — engines quietly sliding back to
-## per-candidate dispatch, which measures 2× and up on these benchmarks.
+## per-candidate dispatch, which measures 2× and up on these benchmarks,
+## and the principle optimizer sliding back to a linear frontier sweep,
+## which measures 30× and up. Both comparisons always print before the exit.
 ## Set BENCH_GATE=0 for the old advisory behaviour.
 BENCH_BASELINE ?= bench/baseline_search.txt
+BENCH_CORE_BASELINE ?= bench/baseline_core.txt
 BENCH_GATE ?= 1.75
 bench-compare:
 	mkdir -p bench
 	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search > bench/current_search.txt
-	@$(GO) run ./cmd/fusecu-benchstat -gate $(BENCH_GATE) $(BENCH_BASELINE) bench/current_search.txt > bench/compare_search.txt 2>&1; s=$$?; \
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/core > bench/current_core.txt
+	@s=0; \
+	$(GO) run ./cmd/fusecu-benchstat -gate $(BENCH_GATE) $(BENCH_BASELINE) bench/current_search.txt > bench/compare_search.txt 2>&1 || s=$$?; \
 	cat bench/compare_search.txt; \
+	$(GO) run ./cmd/fusecu-benchstat -gate $(BENCH_GATE) $(BENCH_CORE_BASELINE) bench/current_core.txt > bench/compare_core.txt 2>&1 || s=$$?; \
+	cat bench/compare_core.txt; \
 	exit $$s
 
-## bench-baseline refreshes the committed baseline bench-compare diffs
+## bench-baseline refreshes the committed baselines bench-compare diffs
 ## against. Run it on a quiet machine and commit the result.
 bench-baseline:
 	mkdir -p bench
 	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search > $(BENCH_BASELINE)
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/core > $(BENCH_CORE_BASELINE)
 
 ## bench-full is the measurement pass: statistically meaningful benchmark
 ## iterations plus the paper's full 32KiB-32MiB Fig. 9 sweep.

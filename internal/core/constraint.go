@@ -98,12 +98,16 @@ func OptimizeConstrained(mm op.MatMul, bufferSize int64, c Constraint) (Result, 
 	if bufferSize < minimumBuffer {
 		return Result{}, fmt.Errorf("%w: have %d elements", ErrBufferTooSmall, bufferSize)
 	}
+	p, err := newPricer(mm)
+	if err != nil {
+		return Result{}, err
+	}
 	var cands []Candidate
 	for _, t := range dataflow.Tensors() {
 		if !c.AllowsStationary(t.Kind()) {
 			continue
 		}
-		if cand, ok := frontierCandidate(mm, bufferSize, t, c); ok {
+		if cand, ok := p.frontierCandidate(bufferSize, t, c); ok {
 			cands = append(cands, cand)
 		}
 	}
@@ -114,89 +118,48 @@ func OptimizeConstrained(mm op.MatMul, bufferSize int64, c Constraint) (Result, 
 	return Result{Candidate: best, Regime: Classify(mm, bufferSize), Considered: cands}, nil
 }
 
-// frontierCandidate sweeps the feasible (T_d1, T_d2) frontier of the
+// frontierCandidate solves the feasible (T_d1, T_d2) frontier of the
 // stationary tensor's dimensions over the constraint's tile lattice, with
 // the third dimension's tile pinned to its minimum allowed value.
-func frontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tensor, c Constraint) (Candidate, bool) {
-	dd := stationary.Dims()
-	d1, d2 := dd[0], dd[1]
-	third := irrelevantDimOf(stationary)
-	order := canonicalOrderForStationary(stationary)
-
-	ext1, ext2, ext3 := d1.Extent(mm), d2.Extent(mm), third.Extent(mm)
-	t3 := minAllowedTile(c, ext3)
-	if t3 == 0 {
+func (p *pricer) frontierCandidate(bufferSize int64, stationary dataflow.Tensor, c Constraint) (Candidate, bool) {
+	df, acc, ok := p.frontierDataflow(bufferSize, stationary, c)
+	if !ok {
 		return Candidate{}, false
 	}
-	cap1, cap2 := ext1, ext2
-	if m := c.MaxStationaryTile; m > 0 {
-		if m < cap1 {
-			cap1 = m
-		}
-		if m < cap2 {
-			cap2 = m
-		}
-	}
-
-	var (
-		found      bool
-		bestMA     int64
-		bestTiling dataflow.Tiling
-	)
-	try := func(t1 int) {
-		if t1 == 0 {
-			return
-		}
-		// Footprint: t1·t2 + t1·t3 + t2·t3 ≤ BS ⇒ t2 ≤ (BS − t1·t3)/(t1 + t3).
-		lim := (bufferSize - int64(t1)*int64(t3)) / (int64(t1) + int64(t3))
-		if lim < 1 {
-			return
-		}
-		if lim > int64(cap2) {
-			lim = int64(cap2)
-		}
-		if c.Square && lim > int64(t1) && t1 < cap1 {
-			// Square arrays stream equal-sized blocks in both directions;
-			// a dimension may only exceed its partner when the partner is
-			// clamped by its extent.
-			lim = int64(t1)
-		}
-		t2 := c.snapDown(int(lim), ext2)
-		if t2 == 0 {
-			return
-		}
-		ti := dataflow.UnitTiling().
-			WithTile(third, t3).WithTile(d1, t1).WithTile(d2, t2)
-		a := cost.MustEvaluate(mm, dataflow.Must(mm, order, ti))
-		if a.Footprint > bufferSize {
-			return
-		}
-		if !found || a.Total < bestMA {
-			found, bestMA, bestTiling = true, a.Total, ti
-		}
-	}
-	q := c.quantum()
-	for t1 := q; t1 < cap1; t1 += q {
-		try(t1)
-	}
-	try(cap1)
-	if q > 1 && cap1 > 1 {
-		// The lattice also admits the minimum tile when the extent is not a
-		// quantum multiple.
-		try(minAllowedTile(c, cap1))
-	}
-	if !found {
-		return Candidate{}, false
-	}
-	df := dataflow.Must(mm, order, bestTiling)
-	acc := cost.MustEvaluate(mm, df)
 	return Candidate{
 		Dataflow:  df,
 		Access:    acc,
 		Principle: principleForNRA(acc.NRA),
 		Note: fmt.Sprintf("constrained frontier: %s stationary (%s), quantum %d",
-			stationary, stationary.Kind(), q),
+			stationary, stationary.Kind(), c.quantum()),
 	}, true
+}
+
+// frontierDataflow is the first minimum-MA point, in ascending T_d1 order,
+// of the stationary tensor's frontier under c (see pricer.frontier), as a
+// dataflow in the stationary's canonical order.
+func (p *pricer) frontierDataflow(bufferSize int64, stationary dataflow.Tensor, c Constraint) (dataflow.Dataflow, cost.Access, bool) {
+	dd := stationary.Dims()
+	w := frontierWalk{
+		c: c, bufferSize: bufferSize, stationary: stationary,
+		d1: dd[0], d2: dd[1], third: irrelevantDimOf(stationary),
+		q: c.quantum(),
+	}
+	w.ext1, w.ext2 = w.d1.Extent(p.mm), w.d2.Extent(p.mm)
+	w.t3 = minAllowedTile(c, w.third.Extent(p.mm))
+	w.cap1, w.cap2 = w.ext1, w.ext2
+	if m := c.MaxStationaryTile; m > 0 {
+		w.cap1, w.cap2 = min(w.cap1, m), min(w.cap2, m)
+	}
+	var df dataflow.Dataflow
+	if w.t3 == 0 {
+		return df, cost.Access{}, false
+	}
+	ti, acc, ok := p.frontier(&w)
+	if !ok {
+		return df, cost.Access{}, false
+	}
+	return dataflow.Must(p.mm, canonicalOrderForStationary(stationary), ti), acc, true
 }
 
 // minAllowedTile returns the smallest legal tile for a dimension extent, or
@@ -241,6 +204,12 @@ func DecideFusionConstrained(pair fusion.Pair, bufferSize int64, c Constraint) (
 	if err != nil {
 		return FusionDecision{}, fmt.Errorf("core: consumer: %w", err)
 	}
+	return decideFusion(pair, bufferSize, c, first, second), nil
+}
+
+// decideFusion applies Principle 4 to a pair whose operators' constrained
+// optima are already known.
+func decideFusion(pair fusion.Pair, bufferSize int64, c Constraint, first, second Result) FusionDecision {
 	d := FusionDecision{
 		Pair:      pair,
 		FirstNRA:  first.Access.NRA,
@@ -251,11 +220,11 @@ func DecideFusionConstrained(pair fusion.Pair, bufferSize int64, c Constraint) (
 	}
 	d.SameNRA = d.FirstNRA == d.SecondNRA
 	if !d.SameNRA {
-		return d, nil
+		return d
 	}
 	best, ok := fusion.BestAligned(pair, bufferSize, c.FusedTileAlign)
 	if !ok {
-		return d, nil
+		return d
 	}
 	d.FusedMA = best.Access.Total
 	d.Gain = d.UnfusedMA - d.FusedMA
@@ -263,7 +232,7 @@ func DecideFusionConstrained(pair fusion.Pair, bufferSize int64, c Constraint) (
 		d.Fuse = true
 		d.Fused = best
 	}
-	return d, nil
+	return d
 }
 
 // PlanChainOpts is PlanChain under a platform's dataflow-space restrictions.
@@ -288,10 +257,7 @@ func PlanChainOpts(c *op.Chain, bufferSize int64, opts PlanOptions) (ChainPlan, 
 			if err != nil {
 				return ChainPlan{}, fmt.Errorf("core: chain link %d: %w", i, err)
 			}
-			d, err := DecideFusionConstrained(pair, bufferSize, opts.Constraint)
-			if err != nil {
-				return ChainPlan{}, err
-			}
+			d := decideFusion(pair, bufferSize, opts.Constraint, intra[i], intra[i+1])
 			decisions = append(decisions, d)
 			if d.Fuse {
 				dd := d
@@ -343,11 +309,4 @@ func PlanChainOpts(c *op.Chain, bufferSize int64, opts PlanOptions) (ChainPlan, 
 		UnfusedMA: unfused,
 		Decisions: decisions,
 	}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

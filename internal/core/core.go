@@ -5,11 +5,14 @@
 // decisions (Principle 4) build on this in principle4.go.
 //
 // Unlike the search baseline in internal/search, which explores the
-// O(|orders| × M·K·L) tiling/scheduling space, this package *constructs* a
-// constant-size candidate set directly from the principles and solves each
-// candidate's tile sizes from its closed-form buffer constraint. The best
-// constructed candidate is provably communication-optimal in the regimes the
-// paper analyzes, which internal/search cross-validates (Fig. 9).
+// O(|orders| × M·K·L) tiling/scheduling space, this package *constructs*
+// O(1) principle candidates directly. Principles 2 and 3 solve their one
+// free tile from a linear buffer constraint; each Principle 1 candidate
+// solves its two tiles by an O(√extent) walk over the ceil-plateau left
+// endpoints of one tile (dataflow.NextPlateau), priced through one
+// cost.BatchEval. The best constructed candidate is provably
+// communication-optimal in the regimes the paper analyzes, which
+// internal/search cross-validates (Fig. 9).
 package core
 
 import (
@@ -98,6 +101,10 @@ var ErrBufferTooSmall = fmt.Errorf("core: buffer cannot hold three 1×1 tiles: %
 // minimumBuffer is the footprint of 1×1 tiles for all three tensors.
 const minimumBuffer = 3
 
+// maxCandidates is the size of CandidateSet's full construction: three P1
+// stationaries, four P2 untilings and three P3 residencies.
+const maxCandidates = 10
+
 // Optimize applies Principles 1–3 to construct the optimal dataflow for mm
 // under a buffer of bufferSize elements, one-shot. In the small-buffer band
 // both the Single-NRA and Two-NRA constructions are evaluated and the
@@ -109,39 +116,44 @@ func Optimize(mm op.MatMul, bufferSize int64) (Result, error) {
 	if bufferSize < minimumBuffer {
 		return Result{}, fmt.Errorf("%w: have %d elements", ErrBufferTooSmall, bufferSize)
 	}
+	p, err := newPricer(mm)
+	if err != nil {
+		return Result{}, err
+	}
 	regime := Classify(mm, bufferSize)
-	// Evaluate the constant-size principle candidate set. Candidates are
-	// ordered so that ties resolve toward the construction the regime
-	// predicts (P3 residency, then P2 untiling, then P1 stationarity, the
-	// paper's "smallest" choice first within each): many constructions
-	// coincide on the same dataflow at regime boundaries, and the note on
-	// the winner should name the principle that predicts it.
+	// Evaluate the O(1) principle candidate set. Candidates are ordered so
+	// that ties resolve toward the construction the regime predicts (P3
+	// residency, then P2 untiling, then P1 stationarity, the paper's
+	// "smallest" choice first within each): many constructions coincide on
+	// the same dataflow at regime boundaries, and the note on the winner
+	// should name the principle that predicts it.
 	//
 	// Optimality: for any loop order the MA depends on exactly two tile
-	// dimensions (the third is free and set to 1), and the P1 sweep walks
-	// the full feasible frontier of those two for each of the three
-	// order classes — so the best candidate here is the exact optimum of
-	// the entire tiling/scheduling space, which the test suite
-	// cross-validates against exhaustive search.
-	var cands []Candidate
+	// dimensions (the third is free and set to 1), and each P1 candidate
+	// solves the whole feasible frontier of those two for its order class
+	// by an O(√extent) plateau walk that keeps exactly the point a full
+	// sweep would — so the best candidate here is the exact optimum of the
+	// entire tiling/scheduling space, which the test suite cross-validates
+	// against exhaustive search.
+	cands := make([]Candidate, 0, maxCandidates)
 	if c, ok := ThreeNRACandidate(mm, bufferSize, smallestTensor(mm)); ok {
 		cands = append(cands, c)
 	}
-	cands = append(cands, twoNRACandidatesForDim(mm, bufferSize, smallestDim(mm))...)
+	cands = appendTwoNRA(cands, mm, bufferSize, smallestDim(mm))
 	for _, d := range dataflow.Dims() {
 		if d == smallestDim(mm) {
 			continue
 		}
-		cands = append(cands, twoNRACandidatesForDim(mm, bufferSize, d)...)
+		cands = appendTwoNRA(cands, mm, bufferSize, d)
 	}
-	if c, ok := SingleNRACandidate(mm, bufferSize, smallestTensor(mm)); ok {
+	if c, ok := p.singleNRA(bufferSize, smallestTensor(mm)); ok {
 		cands = append(cands, c)
 	}
 	for _, t := range dataflow.Tensors() {
 		if t == smallestTensor(mm) {
 			continue
 		}
-		if c, ok := SingleNRACandidate(mm, bufferSize, t); ok {
+		if c, ok := p.singleNRA(bufferSize, t); ok {
 			cands = append(cands, c)
 		}
 	}
@@ -157,14 +169,16 @@ func Optimize(mm op.MatMul, bufferSize int64) (Result, error) {
 // constructions (P2), and all three resident-tensor choices (P3). The strict
 // principle choices are a subset; the full set powers the ablation studies.
 func CandidateSet(mm op.MatMul, bufferSize int64) []Candidate {
-	var cands []Candidate
-	for _, t := range dataflow.Tensors() {
-		if c, ok := SingleNRACandidate(mm, bufferSize, t); ok {
-			cands = append(cands, c)
+	cands := make([]Candidate, 0, maxCandidates)
+	if p, err := newPricer(mm); err == nil && bufferSize >= minimumBuffer {
+		for _, t := range dataflow.Tensors() {
+			if c, ok := p.singleNRA(bufferSize, t); ok {
+				cands = append(cands, c)
+			}
 		}
 	}
 	for _, d := range dataflow.Dims() {
-		cands = append(cands, twoNRACandidatesForDim(mm, bufferSize, d)...)
+		cands = appendTwoNRA(cands, mm, bufferSize, d)
 	}
 	for _, t := range dataflow.Tensors() {
 		if c, ok := ThreeNRACandidate(mm, bufferSize, t); ok {
@@ -178,50 +192,43 @@ func CandidateSet(mm op.MatMul, bufferSize int64) []Candidate {
 // stationary tensor: the stationary tensor's two tile dimensions are
 // maximized (balanced against each other under the Eq. 2 constraint) and the
 // remaining dimension's tile is 1.
+//
+// It is the unconstrained case of the frontier OptimizeConstrained walks:
+// the exact integer solve of min MKL(1/T1 + 1/T2) s.t. T1·T2 + T1 + T2 ≤ BS,
+// with T2 solved from the linear-in-T2 constraint for each T1 and T1 walked
+// over its ceil-plateau left endpoints, O(√extent) steps.
 func SingleNRACandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tensor) (Candidate, bool) {
 	if bufferSize < minimumBuffer {
 		return Candidate{}, false
 	}
-	dd := stationary.Dims()
-	d1, d2 := dd[0], dd[1]
-	order := canonicalOrderForStationary(stationary)
-
-	ext1, ext2 := int64(d1.Extent(mm)), int64(d2.Extent(mm))
-	bestTiling, found := dataflow.Tiling{}, false
-	var bestMA int64
-	// Exact integer solve of: min MKL(1/T1 + 1/T2) s.t. T1·T2 + T1 + T2 ≤ BS.
-	// The sweep is over one variable only (≤ min(ext1, BS) steps), solving
-	// the other from the linear-in-T2 constraint.
-	for t1 := int64(1); t1 <= ext1; t1++ {
-		// T1·T2 + T1 + T2 ≤ BS  ⇒  T2 ≤ (BS − T1)/(T1 + 1)
-		t2 := (bufferSize - t1) / (t1 + 1)
-		if t2 < 1 {
-			break
-		}
-		if t2 > ext2 {
-			t2 = ext2
-		}
-		ti := dataflow.UnitTiling().
-			WithTile(d1, int(t1)).WithTile(d2, int(t2))
-		a := cost.MustEvaluate(mm, dataflow.Must(mm, order, ti))
-		if a.Footprint > bufferSize {
-			continue
-		}
-		if !found || a.Total < bestMA {
-			found, bestMA, bestTiling = true, a.Total, ti
-		}
-	}
-	if !found {
+	p, err := newPricer(mm)
+	if err != nil {
 		return Candidate{}, false
 	}
-	df := dataflow.Must(mm, order, bestTiling)
+	return p.singleNRA(bufferSize, stationary)
+}
+
+// singleNRA is SingleNRACandidate on p's operator.
+func (p *pricer) singleNRA(bufferSize int64, stationary dataflow.Tensor) (Candidate, bool) {
+	df, acc, ok := p.frontierDataflow(bufferSize, stationary, Unconstrained)
+	if !ok {
+		return Candidate{}, false
+	}
 	return Candidate{
 		Dataflow:  df,
-		Access:    cost.MustEvaluate(mm, df),
+		Access:    acc,
 		Principle: 1,
-		Note:      fmt.Sprintf("P1: %s stationary (%s)", stationary, stationary.Kind()),
+		Note:      p1Notes[stationary],
 	}, true
 }
+
+// p1Notes holds the Principle 1 note for each stationary tensor.
+var p1Notes = func() (notes [3]string) {
+	for _, t := range dataflow.Tensors() {
+		notes[t] = fmt.Sprintf("P1: %s stationary (%s)", t, t.Kind())
+	}
+	return notes
+}()
 
 // TwoNRACandidate constructs the Principle 2 dataflow that untiles dimension
 // untiled and lets tensor redundant carry the residual traffic. redundant
@@ -279,16 +286,15 @@ func TwoNRACandidate(mm op.MatMul, bufferSize int64, untiled dataflow.Dim, redun
 	}, true
 }
 
-// twoNRACandidatesForDim returns every valid TwoNRACandidate that untiles d:
+// appendTwoNRA appends every valid TwoNRACandidate that untiles d to dst:
 // both input-redundant choices when d = K, one otherwise.
-func twoNRACandidatesForDim(mm op.MatMul, bufferSize int64, d dataflow.Dim) []Candidate {
-	var out []Candidate
+func appendTwoNRA(dst []Candidate, mm op.MatMul, bufferSize int64, d dataflow.Dim) []Candidate {
 	for _, r := range dataflow.TensorsWithDim(d) {
 		if c, ok := TwoNRACandidate(mm, bufferSize, d, r); ok {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 // ThreeNRACandidate constructs the Principle 3 dataflow keeping tensor
@@ -357,19 +363,15 @@ func smallestDim(mm op.MatMul) dataflow.Dim {
 	return best
 }
 
+// canonicalOrders holds the canonical loop order keeping tensor t
+// stationary at index t (A→IS, B→WS, C→OS). It is also the order list every
+// pricer's kernel is compiled for, so a stationary tensor is its own order
+// index.
+var canonicalOrders = []dataflow.Order{dataflow.OrderIS, dataflow.OrderWS, dataflow.OrderOS}
+
 // canonicalOrderForStationary returns the canonical loop order keeping t
 // stationary.
-func canonicalOrderForStationary(t dataflow.Tensor) dataflow.Order {
-	switch t {
-	case dataflow.TensorC:
-		return dataflow.OrderOS
-	case dataflow.TensorB:
-		return dataflow.OrderWS
-	case dataflow.TensorA:
-		return dataflow.OrderIS
-	}
-	panic("core: invalid tensor")
-}
+func canonicalOrderForStationary(t dataflow.Tensor) dataflow.Order { return canonicalOrders[t] }
 
 func irrelevantDimOf(t dataflow.Tensor) dataflow.Dim {
 	for _, d := range dataflow.Dims() {

@@ -358,3 +358,22 @@ func BenchmarkOptimize(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlanChain plans a two-operator Table II chain, BERT's attention
+// (QKᵀ then SV at sequence 1024, head dim 64), under the same buffer as
+// BenchmarkOptimize.
+func BenchmarkPlanChain(b *testing.B) {
+	chain, err := op.NewChain("bert-attn",
+		op.MatMul{Name: "QKt", M: 1024, K: 64, L: 1024},
+		op.MatMul{Name: "SV", M: 1024, K: 1024, L: 64},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := PlanChain(chain, 512*1024); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

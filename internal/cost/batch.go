@@ -2,8 +2,10 @@ package cost
 
 import (
 	"fmt"
+	"math"
 
 	"fusecu/internal/dataflow"
+	"fusecu/internal/errs"
 	"fusecu/internal/invariant"
 	"fusecu/internal/op"
 )
@@ -113,6 +115,11 @@ type BatchEval struct {
 func NewBatchEval(mm op.MatMul, orders []dataflow.Order) (*BatchEval, error) {
 	if err := mm.Validate(); err != nil {
 		return nil, err
+	}
+	for _, ext := range [3]int{mm.M, mm.K, mm.L} {
+		if ext > math.MaxInt32 {
+			return nil, fmt.Errorf("cost: %v extent %d exceeds the batch kernel's int32 tiles: %w", mm, ext, errs.ErrInvalidOperator)
+		}
 	}
 	if len(orders) == 0 || len(orders) > 256 {
 		return nil, fmt.Errorf("cost: batch kernel needs 1-256 orders, got %d", len(orders))

@@ -1,10 +1,13 @@
 package cost
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"fusecu/internal/dataflow"
+	"fusecu/internal/errs"
 	"fusecu/internal/invariant"
 	"fusecu/internal/op"
 )
@@ -152,6 +155,11 @@ func TestNewBatchEvalRejects(t *testing.T) {
 	bad := []dataflow.Order{{dataflow.DimM, dataflow.DimM, dataflow.DimK}}
 	if _, err := NewBatchEval(op.MatMul{Name: "ok", M: 4, K: 4, L: 4}, bad); err == nil {
 		t.Fatal("duplicate-dim order accepted")
+	}
+	// Block tiles are int32, so a larger extent cannot be priced.
+	wide := op.MatMul{Name: "wide", M: 4, K: math.MaxInt32 + 1, L: 4}
+	if _, err := NewBatchEval(wide, dataflow.AllOrders()); !errors.Is(err, errs.ErrInvalidOperator) {
+		t.Fatalf("extent above int32 gave %v, want ErrInvalidOperator", err)
 	}
 }
 

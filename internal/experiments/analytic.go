@@ -13,11 +13,11 @@ import (
 // analytic optimizer alone: one compiled engine per operator, and per
 // buffer point only the integer boundary candidates around each regime's
 // interior optimum — no lattice scan, no evaluation cache, no randomness.
-// On shapes inside the engine's exact-extent regime the MA values match
-// the lattice+polish engines point for point; the per-point SearchEvals
-// are the analytic engine's own evaluation counts (tens, versus the GA
-// polish's thousands), and SearchCacheHits is always zero, so the bench
-// compares this column on MA only rather than on visit conservation.
+// The MA values match the lattice+polish engines point for point; the
+// per-point SearchEvals are the analytic engine's own evaluation counts
+// (tens, versus the GA polish's thousands), and SearchCacheHits is always
+// zero, so the bench compares this column on MA only rather than on visit
+// conservation.
 func Fig9Analytic(ops []op.MatMul, buffers []int64) ([]Fig9Result, error) {
 	return Fig9AnalyticCtx(context.Background(), ops, buffers)
 }

@@ -38,7 +38,7 @@ type Fig9Point struct {
 	// DAT-style searcher found; Ideal is the unbounded-buffer lower bound.
 	PrincipleMA, SearchMA, Ideal int64
 	// SearchEvals counts the searcher's cost-model invocations (the
-	// principles use a constant-size candidate set). Candidates served from
+	// principles construct O(1) candidates). Candidates served from
 	// the sweep-level evaluation cache are counted in SearchCacheHits
 	// instead, so SearchEvals stays comparable to the paper's search-cost
 	// metric; SearchEvals + SearchCacheHits is the total candidate-visit

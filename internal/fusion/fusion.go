@@ -282,6 +282,13 @@ func ConstructTileOSIS(p Pair, bufferSize int64) (Candidate, bool) {
 // tile keeps every pass fully occupied; FuseCU constructs its fused tiles
 // aligned to the CU dimension for exactly this reason (§IV-A: "the
 // stationary tile size has to match the array size").
+//
+// The traffic depends on T_M and T_L only through their trip counts and never
+// falls as one grows, while the largest T_L the buffer admits shrinks as T_M
+// grows. So within each ceil plateau of T_M the first lattice point is never
+// worse than the rest, and the construction prices only those points
+// (dataflow.NextPlateau), about 2√M of them, keeping the first strict minimum
+// in ascending T_M order exactly as a sweep over every lattice point would.
 func ConstructTileOSISAligned(p Pair, bufferSize int64, align int) (Candidate, bool) {
 	if align < 1 {
 		align = 1
@@ -289,15 +296,13 @@ func ConstructTileOSISAligned(p Pair, bufferSize int64, align int) (Candidate, b
 	M, L := int64(p.M()), int64(p.L())
 	best, found := FusedDataflow{}, false
 	var bestMA int64
-	try := func(tm int64) {
-		if tm < 1 || tm > M {
-			return
-		}
+	// try prices T_M = tm, reporting false when it leaves no room for T_L.
+	try := func(tm int64) bool {
 		// Footprint with T_K = T_N = 1: tm·tl + 2tm + 2tl ≤ BS
 		//   ⇒ tl ≤ (BS − 2tm) / (tm + 2)
 		tl := (bufferSize - 2*tm) / (tm + 2)
 		if tl < 1 {
-			return
+			return false
 		}
 		if tl > L {
 			tl = L
@@ -310,24 +315,17 @@ func ConstructTileOSISAligned(p Pair, bufferSize int64, align int) (Candidate, b
 		fd := FusedDataflow{Pattern: PatternTileOSIS, TM: int(tm), TK: 1, TL: int(tl), TN: 1}
 		a, err := Evaluate(p, fd)
 		if err != nil || a.Footprint > bufferSize {
-			return
+			return false
 		}
 		if !found || a.Total < bestMA {
 			found, bestMA, best = true, a.Total, fd
 		}
+		return true
 	}
-	if align == 1 {
-		for tm := int64(1); tm <= M; tm++ {
-			try(tm)
-		}
-	} else {
-		for tm := int64(align); tm < M; tm += int64(align) {
-			try(tm)
-		}
-		try(M)
-		if M < int64(align) {
-			try(M)
-		}
+	// T_M runs over the multiples of align below M, then M itself.
+	tm := min(int64(align), M)
+	for try(tm) && tm < M {
+		tm = int64(dataflow.NextPlateau(int(M), int(tm), align))
 	}
 	if !found {
 		return Candidate{}, false

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"fusecu/internal/cost"
 	"fusecu/internal/dataflow"
@@ -41,34 +40,21 @@ const SiteAnalytic = "search.analytic"
 //     cost falls as x grows, so the single candidate is the largest
 //     feasible x (clamped to extent−1 to stay inside the cell).
 //   - Two free tiles (x, y) with third tile c minimize α/x + β/y over the
-//     constraint (x+c)(y+c) ≤ BS+c² in the continuous relaxation, with the
-//     interior optimum x* = BS/(c + sqrt(β(BS+c²)/α)). On the integer
-//     lattice the optimum lies on the constraint's Pareto frontier: for any
-//     trip count n_x, sliding x down to its plateau's left endpoint
-//     ceil(ext_x/n_x) keeps the cost term fixed while loosening the
-//     constraint on y, so WLOG x ∈ {ceil(ext_x/n) : n} (≈2√ext_x values)
-//     and y is the largest feasible partner. Enumerating those boundary
-//     candidates over the smaller extent is therefore *exact*; when that
-//     extent is huge (beyond analyticExactExtent) the engine enumerates
-//     only a window of plateaus around the closed-form interior optimum
-//     plus the two extremes, trading provable exactness for O(1) work —
-//     the regime the property tests cover stays on the exact path.
+//     constraint (x+c)(y+c) ≤ BS+c². On the integer lattice the optimum
+//     lies on the constraint's Pareto frontier: for any trip count n_x,
+//     sliding x down to its plateau's left endpoint ceil(ext_x/n_x) keeps
+//     the cost term fixed while loosening the constraint on y, so WLOG
+//     x ∈ {ceil(ext_x/n) : n} (≈2√ext_x values) and y is the largest
+//     feasible partner. The engine walks those boundary candidates over the
+//     smaller extent with the plateau walk core and fusion share
+//     (dataflow.NextPlateau), stopping at the first x that leaves no room,
+//     so the enumeration is exact at every extent.
 //
 // Every candidate is priced exactly through the same cost.BatchEval kernel
 // the enumeration engines use, so the result is a true lattice point with a
 // bit-exact Access — no rounding error survives into the answer. The whole
 // engine prices tens-to-hundreds of candidates per request where the GA
 // polish priced Population×(Generations+1) ≈ 3,900.
-
-// analyticExactExtent bounds the enumerated extent up to which the
-// two-variable cells run the full (provably exact) Pareto-frontier scan,
-// ≈ 2√4096 = 128 candidates per distinct cell. Above it the windowed scan
-// around the continuous interior optimum keeps the candidate count O(1).
-const analyticExactExtent = 4096
-
-// analyticWindow is the plateau half-window enumerated around the
-// continuous interior optimum when an extent exceeds analyticExactExtent.
-const analyticWindow = 24
 
 // PolishMode selects the polish engine Optimize, OptimizeParallel and
 // OptimizeTable run after the lattice stage — and the sole engine above
@@ -283,7 +269,7 @@ func (a *Analytic) emitOrder(oi int) {
 					continue
 				}
 			}
-			a.emitTwo(oi, tiles, free[0], free[1], coef)
+			a.emitTwo(oi, tiles, free[0], free[1])
 		}
 	}
 }
@@ -310,72 +296,34 @@ func (a *Analytic) emitOne(oi int, tiles [3]int64, d int) {
 }
 
 // emitTwo handles a cell with two free positive-coefficient tiles. It
-// enumerates Pareto-frontier candidates over the smaller-extent dim e: each
-// distinct trip count's plateau left endpoint x = ceil(ext_e/n), paired
-// with the largest partner tile the footprint admits. Within
-// analyticExactExtent every achievable trip count is visited (exact);
-// beyond it only a window around the continuous interior optimum plus the
-// two extremes.
-func (a *Analytic) emitTwo(oi int, tiles [3]int64, d1, d2 int, coef [3]int64) {
+// enumerates the Pareto frontier over the smaller-extent dim e: each
+// achievable trip count's plateau left endpoint x (dataflow.NextPlateau,
+// ascending from x = 1), paired with the largest partner tile the footprint
+// admits, up to the largest in-cell tile (trip count two). The partner
+// budget shrinks as x grows, so the walk stops at the first x that leaves
+// no room: it prices at most min(2√ext_e, the feasible tile range)
+// candidates and is exact.
+func (a *Analytic) emitTwo(oi int, tiles [3]int64, d1, d2 int) {
 	e, p := d1, d2
 	if a.ext[d2] < a.ext[d1] {
 		e, p = d2, d1
 	}
-	exE := a.ext[e]
-	if exE <= analyticExactExtent {
-		// Walk the distinct plateau left endpoints: from x, the next smaller
-		// endpoint is ceil(exE/n) at the first n whose ceil drops below x,
-		// i.e. n = ceil(exE/(x−1)). Unachievable trip counts are skipped.
-		for n := int64(2); ; {
-			x := ceilDiv(exE, n)
-			a.emitPair(oi, tiles, e, x, p)
-			if x == 1 {
-				return
-			}
-			n = ceilDiv(exE, x-1)
-		}
+	exE := int(a.ext[e])
+	for x := 1; x < exE && a.emitPair(oi, tiles, e, int64(x), p); {
+		x = dataflow.NextPlateau(exE, x, 1)
 	}
-	// Windowed scan: center on the continuous interior optimum of
-	// α/x + β/y s.t. (x+c)(y+c) = BS+c², x* = BS/(c + sqrt(β(BS+c²)/α)).
-	c := float64(tiles[3-e-p])
-	bs := float64(a.scan.bufferSize)
-	alpha := float64(coef[e]) * float64(exE)
-	beta := float64(coef[p]) * float64(a.ext[p])
-	xStar := bs / (c + math.Sqrt(beta*(bs+c*c)/alpha))
-	nStar := int64(2)
-	if xStar >= 1 {
-		nStar = int64(math.Ceil(float64(exE) / xStar))
-	}
-	lo, hi := nStar-analyticWindow, nStar+analyticWindow
-	if lo < 2 {
-		lo = 2
-	}
-	if hi > exE {
-		hi = exE
-	}
-	var lastX int64
-	for n := lo; n <= hi; n++ {
-		if x := ceilDiv(exE, n); x != lastX {
-			lastX = x
-			a.emitPair(oi, tiles, e, x, p)
-		}
-	}
-	// The extremes bound the window: the largest in-cell tile and T = 1.
-	if x := ceilDiv(exE, 2); x != 0 {
-		a.emitPair(oi, tiles, e, x, p)
-	}
-	a.emitPair(oi, tiles, e, 1, p)
 }
 
 // emitPair fixes the enumerated tile x on dim e and pairs it with the
 // largest partner tile on dim p the footprint admits, clamped into the
-// cell's range [1, extent−1].
-func (a *Analytic) emitPair(oi int, tiles [3]int64, e int, x int64, p int) {
+// cell's range [1, extent−1]. It reports false when even a unit partner
+// overflows the buffer.
+func (a *Analytic) emitPair(oi int, tiles [3]int64, e int, x int64, p int) bool {
 	t3 := tiles[3-e-p]
 	num := a.scan.bufferSize - invariant.CheckedMul(t3, x)
 	den := x + t3
 	if num < den {
-		return // even y = 1 overflows
+		return false // even y = 1 overflows
 	}
 	y := num / den
 	if y > a.ext[p]-1 {
@@ -383,7 +331,5 @@ func (a *Analytic) emitPair(oi int, tiles [3]int64, e int, x int64, p int) {
 	}
 	tiles[e], tiles[p] = x, y
 	a.emitCell(oi, tiles)
+	return true
 }
-
-// ceilDiv is ceil(a/b) for positive operands.
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }

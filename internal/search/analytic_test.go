@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fusecu/internal/core"
 	"fusecu/internal/errs"
 	"fusecu/internal/faultinject"
 	"fusecu/internal/invariant"
@@ -78,8 +79,8 @@ func TestAnalyticExactOnSmallShapes(t *testing.T) {
 }
 
 // TestAnalyticExactOnRandomShapes is the bounded property run at ε=0: across
-// randomized shapes and buffers inside the exact-extent regime, the analytic
-// Total matches the full-space reference optimum exactly.
+// randomized shapes and buffers small enough for the full-space reference,
+// the analytic Total matches the reference optimum exactly.
 func TestAnalyticExactOnRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
@@ -288,6 +289,76 @@ func FuzzAnalyticOptimum(f *testing.F) {
 		if got.Access.Footprint > bs {
 			t.Fatalf("%v BS=%d: infeasible answer, footprint %d", mm, bs, got.Access.Footprint)
 		}
+	})
+}
+
+// analyticCorePinned are points where the analytic engine, while it priced
+// only a window of plateaus around the continuous optimum once both free
+// extents passed 4096, returned a higher Total than core.Optimize (up to
+// +25%). The plateau walk is exact at every extent, so they must agree.
+var analyticCorePinned = []struct {
+	ext [3]int
+	bs  int64
+}{
+	{[3]int{278514, 198044, 37163}, 25},
+	{[3]int{182981, 147401, 94039}, 18734},
+	{[3]int{96291, 31279, 220350}, 25},
+	{[3]int{256526, 201052, 19879}, 668},
+	{[3]int{194956, 18970, 120856}, 859},
+	{[3]int{127801, 67263, 299592}, 105},
+	{[3]int{76261, 136710, 131337}, 32},
+	{[3]int{120391, 101814, 226999}, 17},
+	{[3]int{44486, 74136, 267291}, 10},
+	{[3]int{272878, 259369, 233368}, 3130},
+	{[3]int{169270, 168712, 96437}, 2967},
+	{[3]int{29695, 151875, 241526}, 16},
+	{[3]int{159132, 183962, 109054}, 27},
+}
+
+// checkAnalyticMatchesCore requires the analytic engine and the principle
+// optimizer to agree on feasibility and on the optimum Total.
+func checkAnalyticMatchesCore(t *testing.T, mm op.MatMul, bs int64) {
+	t.Helper()
+	want, werr := core.Optimize(mm, bs)
+	got, gerr := OptimizeAnalytic(mm, bs)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("%v BS=%d: error mismatch: core %v, analytic %v", mm, bs, werr, gerr)
+	}
+	if werr == nil && got.Access.Total != want.Access.Total {
+		t.Fatalf("%v BS=%d: analytic %d != core %d", mm, bs, got.Access.Total, want.Access.Total)
+	}
+}
+
+func TestAnalyticMatchesCorePinned(t *testing.T) {
+	for _, p := range analyticCorePinned {
+		checkAnalyticMatchesCore(t, op.MatMul{M: p.ext[0], K: p.ext[1], L: p.ext[2]}, p.bs)
+	}
+}
+
+// TestAnalyticMatchesCoreLargeExtents is the large-extent cross-check the
+// full-space reference cannot reach: on randomized shapes with extents up to
+// 300k, most with both free extents above 4096, and buffers from the
+// 3-element floor to 2^26, the analytic Total equals core.Optimize's.
+func TestAnalyticMatchesCoreLargeExtents(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 400; trial++ {
+		mm := op.MatMul{M: rng.Intn(300_000) + 1, K: rng.Intn(300_000) + 1, L: rng.Intn(300_000) + 1}
+		bs := 3 + rng.Int63n(int64(1)<<uint(rng.Intn(25)+2))
+		checkAnalyticMatchesCore(t, mm, bs)
+	}
+}
+
+// FuzzAnalyticMatchesCore fuzzes the large-extent cross-check: for any shape
+// and buffer the analytic engine and core.Optimize agree on the error class
+// and the optimum Total.
+func FuzzAnalyticMatchesCore(f *testing.F) {
+	for _, p := range analyticCorePinned[:4] {
+		f.Add(uint32(p.ext[0]), uint32(p.ext[1]), uint32(p.ext[2]), uint64(p.bs))
+	}
+	f.Add(uint32(1024), uint32(768), uint32(768), uint64(512<<10))
+	f.Fuzz(func(t *testing.T, m, k, l uint32, buf uint64) {
+		mm := op.MatMul{M: int(m%300_000) + 1, K: int(k%300_000) + 1, L: int(l%300_000) + 1}
+		checkAnalyticMatchesCore(t, mm, int64(buf%(1<<30)))
 	})
 }
 
