@@ -110,9 +110,11 @@ bench-serve:
 	$(GO) run ./cmd/fusecu-tablegen -out $(TABLE_DIR) -set bench
 	$(GO) run ./cmd/fusecu-bench -serve-load -serve-out BENCH_serve.json -replicas 3 -table-dir $(TABLE_DIR)
 
-## bench-compare reruns the search-layer microbenchmarks and the core
-## optimizer benchmarks (BenchmarkOptimize, BenchmarkPlanChain) and diffs
-## the medians against the committed baselines with the stdlib-only
+## bench-compare reruns the search-layer microbenchmarks, the core
+## optimizer benchmarks (BenchmarkOptimize, BenchmarkPlanChain) and the
+## handler-layer benchmarks (BenchmarkSearchAutoCold,
+## BenchmarkSearchExhaustiveHit: /v1/search through httptest, no network)
+## and diffs the medians against the committed baselines with the stdlib-only
 ## fusecu-benchstat (CI has no network for x/perf's benchstat). The target
 ## is blocking: it fails when any benchmark's median runs more than
 ## BENCH_GATE× the baseline, or when a baseline benchmark vanished. The
@@ -121,20 +123,24 @@ bench-serve:
 ## of regression this gate exists for — engines quietly sliding back to
 ## per-candidate dispatch, which measures 2× and up on these benchmarks,
 ## and the principle optimizer sliding back to a linear frontier sweep,
-## which measures 30× and up. Both comparisons always print before the exit.
+## which measures 30× and up. All comparisons always print before the exit.
 ## Set BENCH_GATE=0 for the old advisory behaviour.
 BENCH_BASELINE ?= bench/baseline_search.txt
 BENCH_CORE_BASELINE ?= bench/baseline_core.txt
+BENCH_SERVICE_BASELINE ?= bench/baseline_service.txt
 BENCH_GATE ?= 1.75
 bench-compare:
 	mkdir -p bench
 	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search > bench/current_search.txt
 	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/core > bench/current_core.txt
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/service > bench/current_service.txt
 	@s=0; \
 	$(GO) run ./cmd/fusecu-benchstat -gate $(BENCH_GATE) $(BENCH_BASELINE) bench/current_search.txt > bench/compare_search.txt 2>&1 || s=$$?; \
 	cat bench/compare_search.txt; \
 	$(GO) run ./cmd/fusecu-benchstat -gate $(BENCH_GATE) $(BENCH_CORE_BASELINE) bench/current_core.txt > bench/compare_core.txt 2>&1 || s=$$?; \
 	cat bench/compare_core.txt; \
+	$(GO) run ./cmd/fusecu-benchstat -gate $(BENCH_GATE) $(BENCH_SERVICE_BASELINE) bench/current_service.txt > bench/compare_service.txt 2>&1 || s=$$?; \
+	cat bench/compare_service.txt; \
 	exit $$s
 
 ## bench-baseline refreshes the committed baselines bench-compare diffs
@@ -143,6 +149,7 @@ bench-baseline:
 	mkdir -p bench
 	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search > $(BENCH_BASELINE)
 	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/core > $(BENCH_CORE_BASELINE)
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/service > $(BENCH_SERVICE_BASELINE)
 
 ## bench-full is the measurement pass: statistically meaningful benchmark
 ## iterations plus the paper's full 32KiB-32MiB Fig. 9 sweep.

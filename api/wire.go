@@ -94,11 +94,9 @@ type SearchRequest struct {
 	// Workers sizes this request's scan pool; 0 inherits the server's
 	// configured pool size (which itself defaults to GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the search strategy: "auto" (default — coarse
-	// enumeration plus the server's configured polish on small lattices,
-	// reported as "coarse+analytic"/"table+analytic" or the "+genetic"
-	// variants under -polish=ga, polish alone otherwise), "exhaustive",
-	// "coarse", or "genetic".
+	// Engine selects the search strategy: "auto" (default — the analytic
+	// engine, exact at every extent, reported as "analytic"),
+	// "exhaustive", "coarse", or "genetic".
 	Engine    string `json:"engine,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }

@@ -41,15 +41,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chain   = fs.String("chain", "", "comma-separated MxKxL chain, e.g. 512x64x512,512x512x64")
 		check   = fs.Bool("check", false, "cross-check against the DAT-style search baseline")
 		workers = fs.Int("workers", 0, "search workers for -check (0 = GOMAXPROCS, 1 = sequential)")
-		polish  = fs.String("polish", "analytic", "search polish engine for -check: analytic (closed-form) or ga (genetic escape hatch)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	pol, err := search.ParsePolishMode(*polish)
-	if err != nil {
-		fmt.Fprintln(stderr, "fusecu-opt:", err)
-		fs.Usage()
 		return 2
 	}
 	if fs.NArg() > 0 {
@@ -65,14 +58,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if err := runSingle(stdout, op.MatMul{Name: "op", M: *m, K: *k, L: *l}, *buffer, *check, *workers, pol); err != nil {
+	if err := runSingle(stdout, op.MatMul{Name: "op", M: *m, K: *k, L: *l}, *buffer, *check, *workers); err != nil {
 		fmt.Fprintln(stderr, "fusecu-opt:", err)
 		return 1
 	}
 	return 0
 }
 
-func runSingle(w io.Writer, mm op.MatMul, buffer int64, check bool, workers int, polish search.PolishMode) error {
+func runSingle(w io.Writer, mm op.MatMul, buffer int64, check bool, workers int) error {
 	res, err := core.Optimize(mm, buffer)
 	if err != nil {
 		return err
@@ -89,7 +82,7 @@ func runSingle(w io.Writer, mm op.MatMul, buffer int64, check bool, workers int,
 		res.Access.PerTensor[0], res.Access.PerTensor[1], res.Access.PerTensor[2], res.Access.OutputReads)
 	fmt.Fprintf(w, "footprint:  %d / %d elements\n", res.Access.Footprint, buffer)
 	if check {
-		sr, err := search.OptimizeParallel(mm, buffer, search.GeneticOptions{Seed: 1, Polish: polish}, workers, nil)
+		sr, err := search.OptimizeParallel(mm, buffer, search.GeneticOptions{Seed: 1}, workers, nil)
 		if err != nil {
 			return err
 		}

@@ -99,8 +99,8 @@ func fig9Point(ctx context.Context, mm op.MatMul, bs, seed int64, cache *search.
 }
 
 // Fig9 validates the principles against the search baseline across the
-// buffer sweep. seed feeds the polish engine when it is the GA (the
-// default analytic polish is seedless). Each operator owns one
+// buffer sweep. seed fills the search options' Seed; the analytic polish
+// is seedless, so it does not change the result. Each operator owns one
 // evaluation cache spanning its buffer sweep, so a candidate dataflow is
 // costed once and every later sweep point filters it by footprint only
 // (the repeat visits land in Fig9Point.SearchCacheHits).

@@ -15,10 +15,9 @@ import (
 // lattice at every buffer point (memoized through the EvalCache, but still
 // O(lattice) visits per point); the fast paths build one footprint-indexed
 // CandTable per operator shape and serve every sweep point with an O(log n)
-// query plus the unchanged polish stage (analytic by default, GA behind
-// PolishGA). Results are bit-identical —
-// same MA values, same total candidate-visit counts — which the tests pin
-// against the plain harness.
+// query plus the unchanged analytic polish stage. Results are
+// bit-identical — same MA values, same total candidate-visit counts —
+// which the tests pin against the plain harness.
 
 // Fig9Sweep computes the same validation sweep as Fig9 through the
 // candidate-table engine: per operator, one coarse table build replaces the

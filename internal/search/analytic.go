@@ -56,49 +56,11 @@ const SiteAnalytic = "search.analytic"
 // engine prices tens-to-hundreds of candidates per request where the GA
 // polish priced Population×(Generations+1) ≈ 3,900.
 
-// PolishMode selects the polish engine Optimize, OptimizeParallel and
-// OptimizeTable run after the lattice stage — and the sole engine above
-// CoarseLatticeLimit.
-type PolishMode uint8
-
-const (
-	// PolishAnalytic — the zero value and the default — prices the analytic
-	// engine's closed-form boundary candidates: deterministic, exact on its
-	// cells, and two orders of magnitude fewer evaluations than the GA.
-	PolishAnalytic PolishMode = iota
-	// PolishGA is the pre-analytic behaviour — the DAT-style genetic
-	// algorithm — kept as an escape hatch behind -polish=ga during the
-	// transition.
-	PolishGA
-)
-
-// String renders the mode in the -polish flag vocabulary.
-func (m PolishMode) String() string {
-	if m == PolishGA {
-		return "ga"
-	}
-	return "analytic"
-}
-
-// methodSuffix is the Result.Method fragment the hybrid entry points append
-// after "coarse+"/"table+" when the polish wins.
-func (m PolishMode) methodSuffix() string {
-	if m == PolishGA {
-		return "genetic"
-	}
-	return "analytic"
-}
-
-// ParsePolishMode maps a -polish flag value to a PolishMode.
-func ParsePolishMode(s string) (PolishMode, error) {
-	switch s {
-	case "analytic", "":
-		return PolishAnalytic, nil
-	case "ga", "genetic":
-		return PolishGA, nil
-	}
-	return PolishAnalytic, fmt.Errorf("unknown polish mode %q (want analytic or ga)", s)
-}
+// analyticBlockSize is the analytic engine's scan-block capacity. One call
+// prices tens-to-hundreds of candidates, so a full 2048-row scan block
+// (~190 KiB) would be mostly dead weight allocated per cold operator; 128
+// rows (~12 KiB) hold a typical call in one or two flushes.
+const analyticBlockSize = 128
 
 // Analytic is the analytic optimizer compiled for one operator: the batch
 // kernel, the per-order regime descriptors, and reusable scan scratch. One
@@ -128,7 +90,7 @@ func NewAnalytic(mm op.MatMul) (*Analytic, error) {
 		orders: orders,
 		kern:   kern,
 	}
-	a.scan = newBlockScanner(mm, 0, orders, kern, nil, &a.stop, &a.acc)
+	a.scan = newBlockScanner(mm, 0, orders, kern, nil, &a.stop, &a.acc, analyticBlockSize)
 	return a, nil
 }
 

@@ -177,8 +177,7 @@ func TestAnalyticCancellation(t *testing.T) {
 }
 
 // TestAnalyticSolePolishAboveLimit pins the engine selection: above
-// CoarseLatticeLimit the default polish mode answers with the analytic
-// engine alone, and the PolishGA escape hatch restores the GA.
+// CoarseLatticeLimit the analytic engine answers alone.
 func TestAnalyticSolePolishAboveLimit(t *testing.T) {
 	mm := op.MatMul{Name: "huge", M: 1260, K: 1260, L: 1260}
 	if CoarseLattice(mm) <= CoarseLatticeLimit {
@@ -189,37 +188,7 @@ func TestAnalyticSolePolishAboveLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Method != "analytic" {
-		t.Errorf("default polish method = %q, want analytic", r.Method)
-	}
-	g, err := Optimize(mm, 1<<20, GeneticOptions{Polish: PolishGA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Method != "genetic" {
-		t.Errorf("escape-hatch method = %q, want genetic", g.Method)
-	}
-	if r.Access.Total > g.Access.Total {
-		t.Errorf("analytic %d worse than GA %d above the lattice limit",
-			r.Access.Total, g.Access.Total)
-	}
-}
-
-// TestParsePolishMode pins the -polish flag vocabulary.
-func TestParsePolishMode(t *testing.T) {
-	for s, want := range map[string]PolishMode{
-		"": PolishAnalytic, "analytic": PolishAnalytic,
-		"ga": PolishGA, "genetic": PolishGA,
-	} {
-		got, err := ParsePolishMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParsePolishMode(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParsePolishMode("simulated-annealing"); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	if PolishAnalytic.String() != "analytic" || PolishGA.String() != "ga" {
-		t.Errorf("String() vocabulary drifted: %q/%q", PolishAnalytic, PolishGA)
+		t.Errorf("method above the lattice limit = %q, want analytic", r.Method)
 	}
 }
 

@@ -326,13 +326,26 @@ func TestOptimizeTableLargeShapeSkipsLattice(t *testing.T) {
 	}
 }
 
-// TestOptimizeTableRejectsMismatchedTable pins the guard rails: a missing
-// or wrong-shape/wrong-grid table is an internal error, not a silent wrong
-// answer.
+// TestOptimizeTableRejectsMismatchedTable pins the table contract: a nil
+// table skips the lattice stage and answers exactly as the analytic engine,
+// while a wrong-shape/wrong-grid table is an internal error, not a silent
+// wrong answer.
 func TestOptimizeTableRejectsMismatchedTable(t *testing.T) {
 	mm := op.MatMul{Name: "t", M: 8, K: 8, L: 8}
-	if _, err := OptimizeTable(mm, 64, GeneticOptions{Seed: 1}, nil, nil); !errors.Is(err, errs.ErrInternal) {
-		t.Fatalf("nil table err = %v, want ErrInternal", err)
+	if CoarseLattice(mm) > CoarseLatticeLimit {
+		t.Fatalf("shape %v unexpectedly above the lattice limit", mm)
+	}
+	got, err := OptimizeTable(mm, 64, GeneticOptions{Seed: 1}, nil, NewEvalCache())
+	if err != nil {
+		t.Fatalf("nil table: %v", err)
+	}
+	want, err := OptimizeAnalytic(mm, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Dataflow != want.Dataflow || got.Access != want.Access ||
+		got.Evaluations != want.Evaluations || got.CacheHits != 0 || got.Method != "analytic" {
+		t.Fatalf("nil table = %+v, want the analytic answer %+v", got, want)
 	}
 	wrong, err := NewCandTable(op.MatMul{Name: "w", M: 9, K: 8, L: 8}, GridCoarse, nil)
 	if err != nil {

@@ -221,12 +221,12 @@ type blockScanner struct {
 	probe blockProbe
 }
 
-func newBlockScanner(mm op.MatMul, bufferSize int64, orders []dataflow.Order, kern *cost.BatchEval, cache *EvalCache, stop *cancelCheck, acc *enumBest) *blockScanner {
+func newBlockScanner(mm op.MatMul, bufferSize int64, orders []dataflow.Order, kern *cost.BatchEval, cache *EvalCache, stop *cancelCheck, acc *enumBest, blockSize int) *blockScanner {
 	s := &blockScanner{
 		mm: mm, bufferSize: bufferSize, orders: orders,
 		stop: stop, acc: acc,
 		kern: kern,
-		blk:  cost.NewBlock(scanBlockSize),
+		blk:  cost.NewBlock(blockSize),
 	}
 	if cache != nil {
 		// Resolve the shape's sub-cache once; flushes then probe shards
@@ -236,9 +236,9 @@ func newBlockScanner(mm op.MatMul, bufferSize int64, orders []dataflow.Order, ke
 		for i, o := range orders {
 			s.oidx[i] = orderIndex(o)
 		}
-		s.keys = make([]evalKey, 0, scanBlockSize)
-		s.miss = make([]int32, 0, scanBlockSize)
-		s.stash = make([]bulkEntry, 0, scanBlockSize)
+		s.keys = make([]evalKey, 0, blockSize)
+		s.miss = make([]int32, 0, blockSize)
+		s.stash = make([]bulkEntry, 0, blockSize)
 	}
 	return s
 }
@@ -366,7 +366,7 @@ func scanParallel(ctx context.Context, mm op.MatMul, bufferSize int64, orders []
 		go func() {
 			defer wg.Done()
 			var local enumBest
-			scanner := newBlockScanner(mm, bufferSize, orders, kern, cache, newCancelCheck(ctx), &local)
+			scanner := newBlockScanner(mm, bufferSize, orders, kern, cache, newCancelCheck(ctx), &local, scanBlockSize)
 			var failed error
 			for s := range ch {
 				if failed != nil {
@@ -438,7 +438,7 @@ func enumerate(ctx context.Context, mm op.MatMul, bufferSize int64, gm, gk, gl [
 	}
 	var acc enumBest
 	if workers == 1 {
-		scanner := newBlockScanner(mm, bufferSize, orders, kern, cache, newCancelCheck(ctx), &acc)
+		scanner := newBlockScanner(mm, bufferSize, orders, kern, cache, newCancelCheck(ctx), &acc, scanBlockSize)
 		if err := guardScan(func() {
 			scanner.scanSpan(gm, gk, gl, 0, len(gm))
 			scanner.flush()

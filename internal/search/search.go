@@ -18,8 +18,9 @@
 //   - OptimizeAnalytic derives per-regime closed-form optima of the
 //     piecewise-affine cost model and prices only the integer boundary
 //     candidates around them — tens-to-hundreds of exact evaluations where
-//     the GA pays thousands. It is the default polish stage of Optimize/
-//     OptimizeTable and the sole engine above CoarseLatticeLimit.
+//     the GA pays thousands. It is the polish stage of Optimize/
+//     OptimizeTable, the sole engine above CoarseLatticeLimit, and the
+//     engine the service's auto search answers with.
 //
 // Every engine has a *Cached variant accepting an EvalCache so buffer-size
 // sweeps evaluate each candidate dataflow once (cost does not depend on the
@@ -185,12 +186,6 @@ type GeneticOptions struct {
 	// 0 selects the default of 4; a negative value requests no elitism
 	// (the zero value cannot, since it must keep the default behaviour).
 	Elitism int
-	// Polish selects the engine Optimize/OptimizeTable polish with (and run
-	// exclusively above CoarseLatticeLimit): the analytic closed-form
-	// optimizer by default (the zero value), or the genetic algorithm behind
-	// the -polish=ga escape hatch. The Genetic* entry points ignore it —
-	// they are the GA, whatever the polish default.
-	Polish PolishMode
 }
 
 func (o GeneticOptions) withDefaults() GeneticOptions {
@@ -429,35 +424,11 @@ func geneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts Geneti
 	return Result{Dataflow: df, Access: a, Evaluations: evals, CacheHits: hits, Method: "genetic"}, nil
 }
 
-// polishCtx runs the configured polish engine. Both modes deliberately run
-// uncached: their candidates are off-lattice tilings that almost never
-// repeat, so probing and flooding the shared cache with them costs more
-// than the evaluation it would save — the cacheable (lattice) work already
-// lives in the scan or the table. Both modes are deterministic and
-// cache-independent, so the hybrid entry points stay bit-identical across
-// the scan-backed, parallel and table-backed paths, including the
-// Evaluations+CacheHits conservation sum the equivalence tests pin.
-func polishCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, error) {
-	if opts.Polish == PolishGA {
-		return geneticCtx(ctx, mm, bufferSize, opts, nil)
-	}
-	return OptimizeAnalyticCtx(ctx, mm, bufferSize)
-}
-
-// solePolish is the engine selection above CoarseLatticeLimit, where the
-// polish is the only stage: the analytic engine by default (it needs no
-// lattice and prices O(1) candidates), the cached GA behind PolishGA.
-func solePolish(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, cache *EvalCache) (Result, error) {
-	if opts.Polish == PolishGA {
-		return geneticCtx(ctx, mm, bufferSize, opts, cache)
-	}
-	return OptimizeAnalyticCtx(ctx, mm, bufferSize)
-}
-
 // Optimize picks the engine by space size: exact enumeration over the coarse
 // lattice when it is small enough (plus the analytic polish), otherwise the
-// polish engine alone. This is the entry point the Fig. 9 harness uses as
-// "DAT".
+// analytic engine alone. This is the entry point the Fig. 9 harness uses as
+// "DAT". opts is accepted for the GA's option set; the analytic polish is
+// seedless, so no field changes the result.
 func Optimize(mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, error) {
 	return OptimizeCached(mm, bufferSize, opts, nil)
 }
@@ -466,13 +437,12 @@ func Optimize(mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, erro
 // cache (which may be nil) — the buffer-sweep entry point: across sweep
 // points the same candidates recur and are served as CacheHits.
 func OptimizeCached(mm op.MatMul, bufferSize int64, opts GeneticOptions, cache *EvalCache) (Result, error) {
-	return optimize(context.Background(), mm, bufferSize, opts, cache, 1)
+	return optimize(context.Background(), mm, bufferSize, cache, 1)
 }
 
 // OptimizeParallel is Optimize with the lattice stage sharded across
 // workers (workers ≤ 0 selects GOMAXPROCS); the polish stays sequential —
-// it prices only a handful of closed-form candidates (or, under PolishGA,
-// is a dependent chain by construction).
+// it prices only a handful of closed-form candidates.
 func OptimizeParallel(mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int, cache *EvalCache) (Result, error) {
 	return OptimizeParallelCtx(context.Background(), mm, bufferSize, opts, workers, cache)
 }
@@ -484,13 +454,13 @@ func OptimizeParallel(mm op.MatMul, bufferSize int64, opts GeneticOptions, worke
 // wrapping ctx.Err(); an uncancelled ctx changes nothing — results stay
 // bit-identical to OptimizeParallel.
 func OptimizeParallelCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int, cache *EvalCache) (Result, error) {
-	return optimize(ctx, mm, bufferSize, opts, cache, workers)
+	return optimize(ctx, mm, bufferSize, cache, workers)
 }
 
 // CoarseLatticeLimit is the coarse-lattice size up to which Optimize runs
-// the exact enumeration stage (plus polish); above it only the polish
-// engine runs — analytic by default, the GA behind PolishGA. Exported so
-// table-backed callers can reproduce the engine selection exactly.
+// the exact enumeration stage (plus polish); above it only the analytic
+// engine runs. Exported so table-backed callers can reproduce the engine
+// selection exactly.
 const CoarseLatticeLimit = 200_000
 
 // CoarseLattice returns the size of mm's coarse candidate lattice — the
@@ -510,18 +480,20 @@ func OptimizeTable(mm op.MatMul, bufferSize int64, opts GeneticOptions, table *C
 // unchanged. Results are bit-identical to OptimizeParallelCtx for the same
 // inputs (property-tested), including the Evaluations+CacheHits accounting.
 //
-// table must cover mm's shape over GridCoarse when mm's coarse lattice is
-// within CoarseLatticeLimit; above the limit the lattice stage is skipped —
-// exactly as in Optimize — and table may be nil.
+// A nil table skips the lattice stage at every size and returns the
+// analytic engine's answer — bit-identical to OptimizeAnalyticCtx. The
+// analytic engine is exact, and the coarse lattice is a subset of the full
+// one, so the lattice stage can never lower the Total; it only adds the
+// DAT baseline's search cost. Above CoarseLatticeLimit the lattice stage
+// is skipped whatever table is passed, exactly as in Optimize. A non-nil
+// table must cover mm's shape over GridCoarse. cache is never read: the
+// table holds the lattice's evaluations and the polish is uncached.
 func OptimizeTableCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, table *CandTable, cache *EvalCache) (Result, error) {
 	if err := mm.Validate(); err != nil {
 		return Result{}, err
 	}
-	if CoarseLattice(mm) > CoarseLatticeLimit {
-		return solePolish(ctx, mm, bufferSize, opts, cache)
-	}
-	if table == nil {
-		return Result{}, fmt.Errorf("search: OptimizeTable needs a coarse candidate table for %v: %w", mm, errs.ErrInternal)
+	if table == nil || CoarseLattice(mm) > CoarseLatticeLimit {
+		return OptimizeAnalyticCtx(ctx, mm, bufferSize)
 	}
 	if tm := table.Op(); tm.M != mm.M || tm.K != mm.K || tm.L != mm.L || table.Grid() != GridCoarse {
 		return Result{}, fmt.Errorf("search: candidate table covers %v over %s grid, want %v coarse: %w", table.Op(), table.Grid(), mm, errs.ErrInternal)
@@ -533,22 +505,31 @@ func OptimizeTableCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts 
 	if err != nil {
 		return Result{}, err
 	}
-	// Same polish-and-keep-better rule as optimize(); the polish is
-	// deterministic and uncached (see polishCtx), so the combined result —
-	// including the conservation sum — matches the scan path bit for bit.
-	g, gerr := polishCtx(ctx, mm, bufferSize, opts)
+	return keepBetter(ctx, mm, bufferSize, r, "table+analytic"), nil
+}
+
+// keepBetter runs the analytic polish after a lattice-stage result r and
+// keeps the better of the two, folding both stages' visit counts into the
+// answer. The polish is deterministic and uncached — its candidates are
+// off-lattice tilings that almost never repeat, so probing the shared cache
+// with them costs more than it saves — so the scan-backed, parallel and
+// table-backed paths stay bit-identical, including the
+// Evaluations+CacheHits conservation sum the equivalence tests pin. A
+// failed polish (canceled, or a contained panic) keeps r.
+func keepBetter(ctx context.Context, mm op.MatMul, bufferSize int64, r Result, method string) Result {
+	g, gerr := OptimizeAnalyticCtx(ctx, mm, bufferSize)
 	if gerr == nil && g.Access.Total < r.Access.Total {
 		g.Evaluations += r.Evaluations
 		g.CacheHits += r.CacheHits
-		g.Method = "table+" + opts.Polish.methodSuffix()
-		return g, nil
+		g.Method = method
+		return g
 	}
 	r.Evaluations += g.Evaluations
 	r.CacheHits += g.CacheHits
-	return r, nil
+	return r
 }
 
-func optimize(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, cache *EvalCache, workers int) (Result, error) {
+func optimize(ctx context.Context, mm op.MatMul, bufferSize int64, cache *EvalCache, workers int) (Result, error) {
 	lattice := CoarseLattice(mm)
 	if lattice <= CoarseLatticeLimit {
 		var (
@@ -564,23 +545,11 @@ func optimize(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticO
 			return Result{}, err
 		}
 		// The coarse lattice can miss boundary tile values such as
-		// (BS−K)/(K+1); polish — the analytic engine's closed-form boundary
-		// candidates by default, DAT's MIP+GA hybrid under PolishGA — and
-		// keep the better of the two. The polish runs uncached (see
-		// polishCtx); its deterministic evaluation count only moves the
-		// Evaluations/CacheHits split, never the conserved sum.
-		g, gerr := polishCtx(ctx, mm, bufferSize, opts)
-		if gerr == nil && g.Access.Total < r.Access.Total {
-			g.Evaluations += r.Evaluations
-			g.CacheHits += r.CacheHits
-			g.Method = "coarse+" + opts.Polish.methodSuffix()
-			return g, nil
-		}
-		r.Evaluations += g.Evaluations
-		r.CacheHits += g.CacheHits
-		return r, nil
+		// (BS−K)/(K+1); the analytic engine's closed-form boundary
+		// candidates recover them.
+		return keepBetter(ctx, mm, bufferSize, r, "coarse+analytic"), nil
 	}
-	return solePolish(ctx, mm, bufferSize, opts, cache)
+	return OptimizeAnalyticCtx(ctx, mm, bufferSize)
 }
 
 func clampT(v, hi int) int {

@@ -142,31 +142,23 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 		defer cancel()
 	}
 
-	// Exact engines first try the shared candidate table for the shape: the
-	// per-point scan collapses to an O(log n) footprint lookup, bit-identical
-	// to the scan's answer. Shapes above the table cap — and every request
-	// when DisableTables is set — keep the scan path. A failed build (e.g. an
-	// injected fault in the cost model) flows into the normal error handling
-	// below, so the degraded fallback and error mapping are unchanged.
+	// auto answers with the analytic engine: it is exact at every extent
+	// and prices tens-to-hundreds of candidates, so there is no lattice
+	// work to amortize. The exhaustive and coarse engines first try the
+	// shared candidate table for the shape: the per-point scan collapses to
+	// an O(log n) footprint lookup, bit-identical to the scan's answer.
+	// Shapes above the table cap — and every request when DisableTables is
+	// set — keep the scan path. A failed engine or build (e.g. an injected
+	// fault in the cost model, contained as ErrInternal) flows into the
+	// normal error handling below, so the degraded fallback and error
+	// mapping are unchanged.
 	var res search.Result
 	var err error
 	switch req.Engine {
 	case "", "auto":
-		opts := search.GeneticOptions{Seed: req.Seed, Polish: s.cfg.Polish}
-		if tab, used, terr := s.searchTable(mm, search.GridCoarse, search.CoarseLattice(mm) <= search.CoarseLatticeLimit); terr != nil {
-			err = terr
-		} else if used {
-			res, err = search.OptimizeTableCtx(scanCtx, mm, req.Buffer, opts, tab, s.cache)
-		} else {
-			res, err = search.OptimizeParallelCtx(scanCtx, mm, req.Buffer, opts, workers, s.cache)
-		}
-		if err == nil && s.cfg.Polish == search.PolishAnalytic {
-			// Observability for the polish migration: how many auto answers
-			// were produced with the analytic polish in the loop.
-			s.reg.Counter("analytic_polish").Inc()
-		}
+		res, err = search.OptimizeAnalyticCtx(scanCtx, mm, req.Buffer)
 	case "exhaustive":
-		if tab, used, terr := s.searchTable(mm, search.GridFull, true); terr != nil {
+		if tab, used, terr := s.searchTable(mm, search.GridFull); terr != nil {
 			err = terr
 		} else if used {
 			res, err = tab.Best(req.Buffer)
@@ -174,7 +166,7 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 			res, err = search.ParallelExhaustiveCtx(scanCtx, mm, req.Buffer, workers, s.cache)
 		}
 	case "coarse":
-		if tab, used, terr := s.searchTable(mm, search.GridCoarse, true); terr != nil {
+		if tab, used, terr := s.searchTable(mm, search.GridCoarse); terr != nil {
 			err = terr
 		} else if used {
 			res, err = tab.Best(req.Buffer)
@@ -205,14 +197,13 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 }
 
 // searchTable resolves the shared candidate table for mm over grid.
-// used=false means the fast path does not apply (disabled, the extra
-// eligible condition is false, or the lattice exceeds the configured cap)
-// and the caller should scan; used=true with a non-nil error means the
+// used=false means the fast path does not apply (disabled, or the lattice
+// exceeds the configured cap) and the caller should scan; used=true with a non-nil error means the
 // table path was selected but the build failed — the error carries the
 // build failure (typically errs.ErrInternal from a contained panic) into
 // the handler's normal degradation/error mapping.
-func (s *Server) searchTable(mm op.MatMul, grid search.Grid, eligible bool) (*search.CandTable, bool, error) {
-	if !eligible || s.cfg.DisableTables {
+func (s *Server) searchTable(mm op.MatMul, grid search.Grid) (*search.CandTable, bool, error) {
+	if s.cfg.DisableTables {
 		return nil, false, nil
 	}
 	if n := search.TableCandidates(mm, grid); n <= 0 || n > s.cfg.TableMaxCandidates {

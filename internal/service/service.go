@@ -64,11 +64,6 @@ type Config struct {
 	// SearchWorkers sizes the per-request search worker pool; 0 means
 	// GOMAXPROCS (the search package's default).
 	SearchWorkers int
-	// Polish selects the auto-engine polish stage: the closed-form analytic
-	// optimizer by default (the zero value), or the genetic algorithm behind
-	// fusecu-serve's -polish=ga escape hatch. Successful auto searches under
-	// the default mode are counted in the analytic_polish metric.
-	Polish search.PolishMode
 	// RetryAfter is the Retry-After hint (seconds) on 429. Default 1.
 	RetryAfter int
 	// DegradeFraction is the fraction of a /v1/search request's deadline

@@ -16,13 +16,38 @@ func searchBody(mm op.MatMul, buffer int64, engine string) string {
 		mm.Name, mm.M, mm.K, mm.L, buffer, engine)
 }
 
-// TestSearchTableBitIdentityAcrossEngines drives every table-served engine
-// through the endpoint and checks the answers against the frozen reference
-// engines — the end-to-end version of the candtable property tests.
+// TestSearchTableBitIdentityAcrossEngines drives every engine through the
+// endpoint and checks the answers against the frozen reference engines —
+// the end-to-end version of the candtable property tests. auto answers
+// from the analytic engine alone: no table build, no cache fill.
 func TestSearchTableBitIdentityAcrossEngines(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	mm := op.MatMul{Name: "tbl", M: 36, K: 28, L: 30}
 	const buffer = 2048
+
+	wantAuto, err := search.OptimizeAnalytic(mm, buffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var auto searchResponse
+	code, raw := post(t, ts, "/v1/search", searchBody(mm, buffer, "auto"), &auto)
+	if code != http.StatusOK {
+		t.Fatalf("auto: status %d: %s", code, raw)
+	}
+	if want := dataflowOf(wantAuto.Dataflow, wantAuto.Access.NRA, wantAuto.Access.Total, wantAuto.Access.PerTensor); auto.Dataflow != want {
+		t.Fatalf("auto: served %+v != analytic engine %+v", auto.Dataflow, want)
+	}
+	if auto.Method != "analytic" || auto.Evaluations != wantAuto.Evaluations || auto.CacheHits != 0 {
+		t.Fatalf("auto: method %q, %d evals, %d hits; want analytic, %d, 0",
+			auto.Method, auto.Evaluations, auto.CacheHits, wantAuto.Evaluations)
+	}
+	if tb := s.Registry().Counter("table_builds").Value(); tb != 0 {
+		t.Fatalf("auto built %d tables, want 0", tb)
+	}
+	if st := s.Cache().Stats(); st != (search.CacheStats{}) {
+		t.Fatalf("auto touched the shared cache: %+v", st)
+	}
+
 	wantFull, err := search.ReferenceExhaustive(mm, buffer)
 	if err != nil {
 		t.Fatal(err)
@@ -53,31 +78,16 @@ func TestSearchTableBitIdentityAcrossEngines(t *testing.T) {
 			t.Fatalf("%s: no candidate visits reported", tc.engine)
 		}
 	}
-	// auto on a small lattice goes through OptimizeTableCtx (table + genetic
-	// polish); it must match the scan-backed auto engine bit for bit.
-	wantAuto, err := search.OptimizeParallel(mm, buffer, search.GeneticOptions{}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp searchResponse
-	code, raw := post(t, ts, "/v1/search", searchBody(mm, buffer, "auto"), &resp)
-	if code != http.StatusOK {
-		t.Fatalf("auto: status %d: %s", code, raw)
-	}
-	if resp.Dataflow.MemoryAccess != wantAuto.Access.Total ||
-		resp.Dataflow.TM != wantAuto.Dataflow.Tiling.TM ||
-		resp.Dataflow.TK != wantAuto.Dataflow.Tiling.TK ||
-		resp.Dataflow.TL != wantAuto.Dataflow.Tiling.TL {
-		t.Fatalf("auto: table-served answer %+v != scan-backed %+v", resp.Dataflow, wantAuto.Dataflow)
+	if wantAuto.Access.Total != wantFull.Access.Total {
+		t.Fatalf("auto Total %d != exhaustive reference %d", wantAuto.Access.Total, wantFull.Access.Total)
 	}
 
-	// Three engines over two grids → exactly two tables resident (full and
-	// coarse share the registry, auto reused the coarse one).
+	// Two table engines over two grids → exactly two tables resident.
 	if got := s.tables.len(); got != 2 {
 		t.Fatalf("tables resident = %d, want 2 (full + coarse)", got)
 	}
-	if tb, th := s.Registry().Counter("table_builds").Value(), s.Registry().Counter("table_hits").Value(); tb != 2 || th != 1 {
-		t.Fatalf("builds/hits = %d/%d, want 2/1 (auto reuses the coarse table)", tb, th)
+	if tb, th := s.Registry().Counter("table_builds").Value(), s.Registry().Counter("table_hits").Value(); tb != 2 || th != 0 {
+		t.Fatalf("builds/hits = %d/%d, want 2/0", tb, th)
 	}
 }
 
